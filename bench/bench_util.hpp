@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sim/kernel_config.hpp"
+#include "util/json.hpp"
 
 /// Shared helpers for the figure/table reproduction binaries.
 namespace et::bench {
@@ -15,7 +16,8 @@ namespace et::bench {
 ///   ""          / "legacy"  -> legacy serial engine (the seed's order)
 ///   "serial"                -> canonical-order serial oracle
 ///   "parallel"              -> tiled parallel kernel, default threads
-///   "parallel:N"            -> tiled parallel kernel, N worker threads
+///   "parallel:N"            -> tiled parallel kernel, N busy threads
+///                              (N-1 pool workers plus the master)
 /// Returns false (and fills `*error` when non-null) on anything else —
 /// including `parallel:0`, negative, or non-numeric thread counts, which
 /// must fail loudly: a sweep silently falling back to a default thread
@@ -87,29 +89,10 @@ inline sim::KernelConfig kernel_from_env() {
 /// produce byte-identical files.
 class JsonRows {
  public:
+  /// Appends one row; the value is rendered with %.6g.
   void add(const std::string& config, std::uint64_t seed,
            const std::string& metric, double value) {
-    // Only the double goes through a bounded snprintf; the row itself is
-    // assembled as a std::string so an arbitrarily long config or metric
-    // name can never truncate the row and corrupt the JSON file.
-    // JSON has no NaN/Inf literal; non-finite metric values (e.g. the NaN
-    // mean_error of a run with zero reports) become null.
-    char num[32];
-    if (std::isfinite(value)) {
-      std::snprintf(num, sizeof(num), "%.6g", value);
-    } else {
-      std::snprintf(num, sizeof(num), "null");
-    }
-    std::string row = "  {\"config\": \"";
-    row += config;
-    row += "\", \"seed\": ";
-    row += std::to_string(seed);
-    row += ", \"metric\": \"";
-    row += metric;
-    row += "\", \"value\": ";
-    row += num;
-    row += "}";
-    rows_.push_back(std::move(row));
+    add_row(config, seed, metric, value, 6);
   }
 
   /// Like add(), but renders the value with full round-trip precision
@@ -118,22 +101,7 @@ class JsonRows {
   /// rounded away.
   void add_exact(const std::string& config, std::uint64_t seed,
                  const std::string& metric, double value) {
-    char num[40];
-    if (std::isfinite(value)) {
-      std::snprintf(num, sizeof(num), "%.17g", value);
-    } else {
-      std::snprintf(num, sizeof(num), "null");
-    }
-    std::string row = "  {\"config\": \"";
-    row += config;
-    row += "\", \"seed\": ";
-    row += std::to_string(seed);
-    row += ", \"metric\": \"";
-    row += metric;
-    row += "\", \"value\": ";
-    row += num;
-    row += "}";
-    rows_.push_back(std::move(row));
+    add_row(config, seed, metric, value, 17);
   }
 
   /// Individual rows, for diff tooling that wants the first divergence
@@ -153,6 +121,31 @@ class JsonRows {
   bool empty() const { return rows_.empty(); }
 
  private:
+  void add_row(const std::string& config, std::uint64_t seed,
+               const std::string& metric, double value, int precision) {
+    // Only the double goes through a bounded snprintf; the row itself is
+    // assembled as a std::string so an arbitrarily long config or metric
+    // name can never truncate the row and corrupt the JSON file.
+    // JSON has no NaN/Inf literal; non-finite metric values (e.g. the NaN
+    // mean_error of a run with zero reports) become null.
+    char num[40];
+    if (std::isfinite(value)) {
+      std::snprintf(num, sizeof(num), "%.*g", precision, value);
+    } else {
+      std::snprintf(num, sizeof(num), "null");
+    }
+    std::string row = "  {\"config\": \"";
+    row += util::json_escape(config);
+    row += "\", \"seed\": ";
+    row += std::to_string(seed);
+    row += ", \"metric\": \"";
+    row += util::json_escape(metric);
+    row += "\", \"value\": ";
+    row += num;
+    row += "}";
+    rows_.push_back(std::move(row));
+  }
+
   std::vector<std::string> rows_;
 };
 

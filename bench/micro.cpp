@@ -215,6 +215,9 @@ void BM_ScalingTank(benchmark::State& state) {
           ks.window_width_max.to_seconds() * 1e6;
       state.counters["windows_cut_world"] =
           static_cast<double>(ks.windows_cut_world);
+      state.counters["windows_inline"] =
+          static_cast<double>(ks.windows_inline);
+      state.counters["pool_phases"] = static_cast<double>(ks.pool_phases);
       state.counters["barrier_wait_ms"] =
           static_cast<double>(ks.barrier_wait_ns) * 1e-6;
       state.counters["serial_fraction"] = ks.serial_fraction();
@@ -261,10 +264,14 @@ class RowReporter final : public benchmark::ConsoleReporter {
     ConsoleReporter::ReportRuns(reports);
     for (const Run& run : reports) {
       if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
+      // The adjusted times are in the run's own time unit (BM_ScalingTank
+      // reports seconds); the rows are always nanoseconds.
+      const double to_ns =
+          1e9 / benchmark::GetTimeUnitMultiplier(run.time_unit);
       rows_.add(run.benchmark_name(), 0, "cpu_time_ns",
-                run.GetAdjustedCPUTime());
+                run.GetAdjustedCPUTime() * to_ns);
       rows_.add(run.benchmark_name(), 0, "real_time_ns",
-                run.GetAdjustedRealTime());
+                run.GetAdjustedRealTime() * to_ns);
       const auto items = run.counters.find("items_per_second");
       if (items != run.counters.end()) {
         rows_.add(run.benchmark_name(), 0, "items_per_second",
@@ -274,8 +281,9 @@ class RowReporter final : public benchmark::ConsoleReporter {
       // window/barrier/serial-fraction trajectory survives in the JSON.
       static constexpr const char* kKernelCounters[] = {
           "windows",          "mean_window_us",  "max_window_us",
-          "windows_cut_world", "barrier_wait_ms", "serial_fraction",
-          "fanout_batches",   "fanout_receivers"};
+          "windows_cut_world", "windows_inline",  "pool_phases",
+          "barrier_wait_ms",  "serial_fraction", "fanout_batches",
+          "fanout_receivers"};
       for (const char* counter : kKernelCounters) {
         const auto it = run.counters.find(counter);
         if (it != run.counters.end()) {

@@ -26,7 +26,8 @@
 namespace et::fuzz {
 
 struct TrialOptions {
-  /// Worker threads for the parallel half of the differential.
+  /// Busy threads (master included) for the parallel half of the
+  /// differential.
   unsigned threads = 2;
   /// Run the parallel half at all. The shrinker may disable it when
   /// minimizing a failure the serial run already exhibits.

@@ -13,15 +13,12 @@ struct KernelConfig {
   /// off (default) keeps the legacy (time, FIFO) order byte-identical to
   /// the seed.
   bool canonical_order = false;
-  /// Worker threads for the parallel kernel.
+  /// Busy threads of the parallel kernel's tile phase, the master
+  /// included: `threads` k runs k-1 pool workers plus the master.
   unsigned threads = 4;
-  /// Spatial tiles per worker thread (more tiles -> finer load balance,
-  /// more barrier bookkeeping).
+  /// Spatial tiles per thread (more tiles -> finer load balance, more
+  /// barrier bookkeeping). Tile count is threads * tiles_per_thread.
   unsigned tiles_per_thread = 1;
-  /// Unused since tiles became contiguous blocks of the field rectangle
-  /// (the planner needs real tile geometry); kept so existing configs keep
-  /// compiling. Tile count is still threads * tiles_per_thread.
-  double tile_cell_size = 0.0;
   /// Wide-window canonical semantics: sends issued from mote context pay an
   /// explicit MAC-entry (handoff) latency and receptions pay a longer
   /// completion-to-receiver handoff (both multiples of the minimum frame

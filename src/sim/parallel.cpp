@@ -47,6 +47,16 @@ inline void cpu_relax() {
 #endif
 }
 
+/// One step of a barrier spin: mostly a pause, with a periodic yield so a
+/// waiter on a busy host hands its core to the thread it waits for.
+inline void spin_step(int spins) {
+  if (spins % 64 == 0) {
+    std::this_thread::yield();
+  } else {
+    cpu_relax();
+  }
+}
+
 inline std::uint64_t wall_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -60,15 +70,15 @@ ParallelKernel::ParallelKernel(Simulator& master, const KernelConfig& config,
                                Rect world_bounds)
     : master_(master),
       world_(world_bounds),
-      n_workers_(std::max(1u, config.threads)) {
+      n_threads_(std::max(1u, config.threads)) {
   // Barrier waiters spin briefly before parking — but only when the host
   // actually has a core per participant (workers + the master). On an
-  // oversubscribed host a spinning waiter steals the core the worker it is
+  // oversubscribed host a spinning waiter steals the core the thread it is
   // waiting for needs, so park immediately instead.
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  spin_limit_ = cores > n_workers_ ? 16384 : 1;
+  spin_limit_ = cores >= n_threads_ ? 16384 : 1;
   const unsigned n_tiles =
-      n_workers_ * std::max(1u, config.tiles_per_thread);
+      n_threads_ * std::max(1u, config.tiles_per_thread);
   // Factor the tile count into the rows x cols grid whose cells best match
   // the world's aspect ratio (squarest cells -> fewest cross-tile
   // neighbour pairs and the most honest hop distances).
@@ -112,9 +122,10 @@ ParallelKernel::ParallelKernel(Simulator& master, const KernelConfig& config,
   master_.set_send_op_hook([this](EventKey key, std::uint32_t owner) {
     send_ops_.push_back(SendOp{key, owner});
   });
-  workers_.reserve(n_workers_);
-  for (unsigned w_idx = 0; w_idx < n_workers_; ++w_idx) {
-    workers_.emplace_back([this, w_idx] { worker_main(w_idx); });
+  // The master runs tile share 0 itself; workers take shares 1 .. k-1.
+  workers_.reserve(n_threads_ - 1);
+  for (unsigned share = 1; share < n_threads_; ++share) {
+    workers_.emplace_back([this, share] { worker_main(share); });
   }
 }
 
@@ -173,14 +184,14 @@ void ParallelKernel::finalize(WindowPlan plan) {
   }
 }
 
-void ParallelKernel::worker_main(unsigned worker_index) {
+void ParallelKernel::worker_main(unsigned share) {
   std::uint64_t seen_phase = 0;
   for (;;) {
     // Wait for a new phase: bounded spin, then park.
     int spins = 0;
     while (phase_.load(std::memory_order_acquire) == seen_phase) {
       if (++spins < spin_limit_) {
-        cpu_relax();
+        spin_step(spins);
         continue;
       }
       std::unique_lock<std::mutex> lk(mu_);
@@ -202,11 +213,9 @@ void ParallelKernel::worker_main(unsigned worker_index) {
     if (phase_kind_ == PhaseKind::kFanout) {
       drain_fanout();
     } else {
-      for (std::size_t t = worker_index; t < tiles_.size(); t += n_workers_) {
-        Simulator::set_thread_outbox(&tiles_[t].outbox);
-        tiles_[t].sim->run_until_key(tile_bounds_[t]);
+      for (std::size_t t = share; t < tiles_.size(); t += n_threads_) {
+        run_tile(t);
       }
-      Simulator::set_thread_outbox(nullptr);
     }
     if (running_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
         master_waiting_.load(std::memory_order_seq_cst)) {
@@ -214,6 +223,12 @@ void ParallelKernel::worker_main(unsigned worker_index) {
       cv_done_.notify_one();
     }
   }
+}
+
+void ParallelKernel::run_tile(std::size_t t) {
+  Simulator::set_thread_outbox(&tiles_[t].outbox);
+  tiles_[t].sim->run_until_key(tile_bounds_[t]);
+  Simulator::set_thread_outbox(nullptr);
 }
 
 void ParallelKernel::drain_fanout() {
@@ -225,8 +240,9 @@ void ParallelKernel::drain_fanout() {
   }
 }
 
-void ParallelKernel::run_pool_phase() {
-  running_.store(n_workers_, std::memory_order_relaxed);
+std::uint64_t ParallelKernel::run_pool_phase() {
+  running_.store(static_cast<unsigned>(workers_.size()),
+                 std::memory_order_relaxed);
   phase_.fetch_add(1, std::memory_order_seq_cst);
   if (sleepers_.load(std::memory_order_seq_cst) > 0) {
     // Parked workers re-check the phase under the lock, so pairing the
@@ -234,13 +250,20 @@ void ParallelKernel::run_pool_phase() {
     std::lock_guard<std::mutex> lk(mu_);
     cv_work_.notify_all();
   }
-  // The master helps drain fan-out batches instead of idling at the join.
-  if (phase_kind_ == PhaseKind::kFanout) drain_fanout();
+  // The master does its own part instead of idling at the join: fan-out
+  // batches alongside the workers, or tile share 0.
+  std::uint64_t share_done = 0;
+  if (phase_kind_ == PhaseKind::kFanout) {
+    drain_fanout();
+  } else {
+    for (std::size_t t = 0; t < tiles_.size(); t += n_threads_) run_tile(t);
+    share_done = wall_ns();
+  }
   // Completion: bounded spin on the worker count, then park on cv_done_.
   int spins = 0;
   while (running_.load(std::memory_order_acquire) != 0) {
     if (++spins < spin_limit_) {
-      cpu_relax();
+      spin_step(spins);
       continue;
     }
     master_waiting_.store(true, std::memory_order_seq_cst);
@@ -251,13 +274,14 @@ void ParallelKernel::run_pool_phase() {
     master_waiting_.store(false, std::memory_order_seq_cst);
     break;
   }
+  return share_done;
 }
 
 void ParallelKernel::run_fanout(std::size_t n_groups, std::size_t n_receivers,
                                 const std::function<void(std::size_t)>& body) {
   stats_.fanout_batches++;
   stats_.fanout_receivers += n_receivers;
-  if (n_groups <= 1) {
+  if (n_groups <= 1 || workers_.empty()) {
     for (std::size_t g = 0; g < n_groups; ++g) body(g);
     return;
   }
@@ -270,31 +294,34 @@ void ParallelKernel::run_fanout(std::size_t n_groups, std::size_t n_receivers,
   fanout_body_ = nullptr;
 }
 
-void ParallelKernel::run_tile_phase() {
+std::uint64_t ParallelKernel::run_tile_phase() {
   // Tile keys always rank below the bound's channel/world rank, so a tile
   // has work in this window iff its next event time is within its bound.
-  bool any_work = false;
-  for (std::size_t t = 0; t < tiles_.size(); ++t) {
+  std::size_t busy = 0;
+  std::size_t busy_tile = 0;
+  for (std::size_t t = 0; t < tiles_.size() && busy < 2; ++t) {
     if (!tiles_[t].sim->queue_empty() &&
         tiles_[t].sim->next_event_time() <= tile_bounds_[t].time) {
-      any_work = true;
-      break;
+      ++busy;
+      busy_tile = t;
     }
   }
-  if (any_work) {
-    const std::uint64_t t0 = wall_ns();
-    run_pool_phase();
-    const std::uint64_t t1 = wall_ns();
-    // The master is blocked for the whole publish-to-join span; tile work
-    // proceeds in parallel during it, so the span is both the tile-phase
-    // wall time and the master's barrier wait.
-    stats_.tile_phase_ns += t1 - t0;
-    stats_.barrier_wait_ns += t1 - t0;
+  if (busy == 0) return 0;
+  if (busy == 1) {
+    // Every other tile would no-op: run the busy one here rather than pay
+    // a publish-and-join hand-off for it.
+    stats_.windows_inline++;
+    run_tile(busy_tile);
+    return 0;
   }
+  stats_.pool_phases++;
+  return run_pool_phase();
+}
+
+void ParallelKernel::replay_outboxes() {
   // Replay buffered channel ops into the master queue; the heap orders
   // them by canonical key, reproducing serial execution order exactly.
   // Radio-entry ops double as pending-send constraints for the planner.
-  const std::uint64_t t2 = wall_ns();
   for (auto& tile : tiles_) {
     for (auto& op : tile.outbox) {
       if (op.is_send) send_ops_.push_back(SendOp{op.key, op.fire_owner});
@@ -302,7 +329,6 @@ void ParallelKernel::run_tile_phase() {
     }
     tile.outbox.clear();
   }
-  stats_.serial_phase_ns += wall_ns() - t2;
 }
 
 Time ParallelKernel::plan_tile_ends(Time deadline) {
@@ -451,8 +477,14 @@ std::size_t ParallelKernel::run_until(Time deadline) {
     stats_.window_width_total += width;
     if (width > stats_.window_width_max) stats_.window_width_max = width;
 
-    run_tile_phase();
-    const std::uint64_t master_t0 = wall_ns();
+    // One clock read per phase boundary: tile phase start, tiles done
+    // (master phase start), master phase done.
+    const std::uint64_t t0 = wall_ns();
+    const std::uint64_t share_done = run_tile_phase();
+    const std::uint64_t t1 = wall_ns();
+    stats_.tile_phase_ns += t1 - t0;
+    if (share_done != 0) stats_.barrier_wait_ns += t1 - share_done;
+    replay_outboxes();
     master_.run_until_key(master_bound);
     if (mode == Mode::kCutAtWorld) {
       master_.run_until_key(EventKey{world_time, kWorldRank, kMaxSeq});
@@ -472,7 +504,7 @@ std::size_t ParallelKernel::run_until(Time deadline) {
     std::erase_if(send_ops_, [executed](const SendOp& op) {
       return op.key.time <= executed;
     });
-    stats_.serial_phase_ns += wall_ns() - master_t0;
+    stats_.serial_phase_ns += wall_ns() - t1;
     if (mode == Mode::kFinal) break;
   }
 

@@ -50,10 +50,13 @@
 /// replayed later could land in its past. Tiles whose bound regressed
 /// simply no-op for a round. Each window runs in three steps:
 ///
-///   1. tile phase (parallel): every tile runs its events up to its own
-///      bound, buffering channel ops (sends, receiver toggles, journal
-///      appends) into a per-tile outbox keyed by canonical (time, owner,
-///      seq) keys;
+///   1. tile phase: every tile runs its events up to its own bound,
+///      buffering channel ops (sends, receiver toggles, journal appends)
+///      into a per-tile outbox keyed by canonical (time, owner, seq) keys.
+///      `threads:k` means k busy threads: k-1 pool workers plus the master,
+///      which runs share 0 of the tiles itself. When exactly one tile has
+///      an event inside its bound the master runs that tile inline, with
+///      no hand-off to the pool at all;
 ///   2. op flush + master phase (serial): outboxes are replayed into the
 ///      master queue where they execute in canonical key order together
 ///      with medium-internal events (backoff, completions, deliveries);
@@ -61,6 +64,11 @@
 ///      world event, so cross-cutting machinery like fault injection and
 ///      scenario drivers observes exactly the serial prefix — tiles are
 ///      individually capped at the world event's timestamp too).
+///
+/// Exactly one thread touches a tile per phase: share s is tiles s, s+k,
+/// s+2k, ... and the phase barrier (release bump of `phase_`, acquire join
+/// on `running_`) orders one phase's tile accesses before the next phase's,
+/// whichever thread runs them.
 ///
 /// During the master phase, broadcast deliveries with a large candidate
 /// set are fanned back out to the worker pool (run_fanout), sharded by
@@ -81,8 +89,7 @@ namespace et::sim {
 /// fraction stops being a guess: `serial_fraction()` is the measured share
 /// of kernel wall time spent in the single-threaded master phase.
 struct ParallelKernelStats {
-  /// Barrier rounds executed (each round = one tile phase + one master
-  /// phase, i.e. two barrier crossings).
+  /// Rounds executed (each round = one tile phase + one master phase).
   std::uint64_t windows = 0;
   /// Rounds cut short at a world event (fault injection, monitors, ...).
   std::uint64_t windows_cut_world = 0;
@@ -93,10 +100,17 @@ struct ParallelKernelStats {
   /// Sum and max of executed master-window widths (floor to master bound).
   Duration window_width_total = Duration::zero();
   Duration window_width_max = Duration::zero();
-  /// Wall-clock nanoseconds the master spent blocked at the two barriers
-  /// (publishing work + waiting for the last tile worker).
+  /// Rounds whose tile phase ran on the master alone: exactly one tile had
+  /// an event inside its bound, so nothing was handed to the pool.
+  std::uint64_t windows_inline = 0;
+  /// Tile phases published to the worker pool (two or more busy tiles).
+  std::uint64_t pool_phases = 0;
+  /// Wall-clock nanoseconds the master waited at the tile-phase join, from
+  /// finishing its own share to the last worker finishing. Inline windows
+  /// add no wait.
   std::uint64_t barrier_wait_ns = 0;
-  /// Wall-clock nanoseconds of the parallel tile phase (publish to join).
+  /// Wall-clock nanoseconds of the tile phase (inline tile run, or publish
+  /// to join).
   std::uint64_t tile_phase_ns = 0;
   /// Wall-clock nanoseconds of the serial master phase (op replay + channel
   /// + world events).
@@ -185,10 +199,10 @@ class ParallelKernel {
   std::size_t run_until(Time deadline);
 
   /// Executes `body(g)` for every group in [0, n_groups) on the worker
-  /// pool (master participates). Groups must be mutually independent; the
-  /// call returns after all have run. Used by the medium to fan large
-  /// broadcast deliveries out by receiving tile; `n_receivers` is telemetry
-  /// only.
+  /// pool (master participates; with no workers the master runs them
+  /// all). Groups must be mutually independent; the call returns after all
+  /// have run. Used by the medium to fan large broadcast deliveries out by
+  /// receiving tile; `n_receivers` is telemetry only.
   void run_fanout(std::size_t n_groups, std::size_t n_receivers,
                   const std::function<void(std::size_t)>& body);
 
@@ -214,29 +228,39 @@ class ParallelKernel {
   };
   enum class PhaseKind : std::uint8_t { kTiles, kFanout };
 
-  void worker_main(unsigned worker_index);
+  void worker_main(unsigned share);
+  /// Runs tile t up to tile_bounds_[t] with the tile's outbox set. The one
+  /// tile-run body, for workers and the master alike.
+  void run_tile(std::size_t t);
   /// Runs every tile with events in the window up to its entry in
-  /// tile_bounds_ (parallel), then replays their op outboxes into the
-  /// master queue in tile order.
-  void run_tile_phase();
+  /// tile_bounds_: inline on the master when only one tile is busy, on the
+  /// pool when two or more are. Returns what run_pool_phase() returns, or 0
+  /// when the phase did not go to the pool.
+  std::uint64_t run_tile_phase();
+  /// Replays the tiles' op outboxes into the master queue in tile order.
+  void replay_outboxes();
   /// Fills tile_ends_ with each tile's exclusive window end for the next
   /// round (wide mode: adaptive from the constraint sources; narrow mode:
   /// floor + δ for everyone), clamped to [floor + δ, floor + cap] and to
   /// the deadline. Returns the minimum end.
   Time plan_tile_ends(Time deadline);
-  /// Publishes a phase to the pool and joins it (shared by the tile phase
-  /// and run_fanout). The caller has set up tile_bounds_ or the fanout
-  /// fields and phase_kind_ beforehand.
-  void run_pool_phase();
+  /// Publishes a phase to the pool, runs the master's own part (tile share
+  /// 0, or fan-out groups alongside the workers) and joins (shared by the
+  /// tile phase and run_fanout). The caller has set up tile_bounds_ or the
+  /// fanout fields and phase_kind_ beforehand. Returns the wall time the
+  /// master finished its tile share, where its wait at the join starts (0
+  /// for fan-out).
+  std::uint64_t run_pool_phase();
   void drain_fanout();
 
   Simulator& master_;
   Rect world_;
   unsigned rows_ = 1;
   unsigned cols_ = 1;
-  unsigned n_workers_;
+  /// Busy threads of a tile phase: the pool workers plus the master.
+  unsigned n_threads_;
   /// Spin iterations before a barrier waiter parks on its cv; 1 (park at
-  /// once) when the host has no spare core per participant.
+  /// once) when the host has fewer cores than participants.
   int spin_limit_ = 1;
   std::vector<Tile> tiles_;
   std::vector<Rect> tile_rects_;
@@ -260,9 +284,10 @@ class ParallelKernel {
   ParallelKernelStats stats_;
 
   /// Barrier state. Windows are milliseconds of simulated time, so the
-  /// kernel crosses two barriers per window at up to ~kHz rates; the fast
-  /// path is lock-free (spin on `phase_` / `running_` with a bounded spin
-  /// before sleeping), the mutex/cv pair is only the parked-thread fallback.
+  /// kernel can cross the barrier at up to ~kHz rates; the fast path is
+  /// lock-free (a bounded, periodically yielding spin on `phase_` /
+  /// `running_` before sleeping), the mutex/cv pair is only the
+  /// parked-thread fallback.
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;

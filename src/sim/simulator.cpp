@@ -61,7 +61,9 @@ ExecutingOwnerScope::~ExecutingOwnerScope() {
 Simulator::Simulator(std::uint64_t seed, bool register_log_clock)
     : seed_(seed), root_rng_(seed) {
   if (register_log_clock) {
-    Logger::instance().set_clock([this] { return now_; });
+    // Log lines stamp the engine running on this thread: a tile the
+    // parallel kernel runs on the master carries the tile's time.
+    Logger::instance().set_clock([this] { return ambient_now(*this); });
     registered_log_clock_ = true;
   }
 }

@@ -69,6 +69,28 @@ TEST(JsonRows, RowsRenderInInsertionOrderWithCommas) {
       << "rows are comma-separated";
 }
 
+TEST(JsonRows, ConfigAndMetricNamesAreEscaped) {
+  // Quotes, backslashes and control characters in a config or metric name
+  // must not break the row out of its string literal.
+  const std::string config = "ring \"a\\b\"\n\ttab";
+  const std::string metric = "p99 \"us\"\x01";
+  bench::JsonRows rows;
+  rows.add(config, 3, metric, 1.5);
+  rows.add_exact(config, 4, metric, 0.1);
+
+  const auto parsed = util::parse_json(rows.render());
+  ASSERT_TRUE(parsed.ok()) << rows.render();
+  const util::Json& doc = parsed.value();
+  ASSERT_EQ(doc.size(), 2u);
+  for (const util::Json& row : doc.items()) {
+    EXPECT_EQ(row["config"].as_string(), config);
+    EXPECT_EQ(row["metric"].as_string(), metric);
+  }
+  EXPECT_EQ(doc.items()[0]["value"].as_double(), 1.5);
+  EXPECT_EQ(doc.items()[1]["value"].as_double(), 0.1)
+      << "add_exact keeps full round-trip precision";
+}
+
 TEST(KernelSelector, AcceptsTheFourDocumentedForms) {
   sim::KernelConfig kernel;
 

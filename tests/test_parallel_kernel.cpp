@@ -43,7 +43,7 @@ sim::KernelConfig parallel(int threads, int tiles_per_thread = 1) {
 /// The (threads, tiles-per-thread) grid every equivalence test sweeps.
 const std::vector<sim::KernelConfig>& parallel_grid() {
   static const std::vector<sim::KernelConfig> grid = {
-      parallel(1, 1),  // single worker: exercises windowing alone
+      parallel(1, 1),  // master alone, no pool: exercises windowing alone
       parallel(2, 1),
       parallel(4, 1),
       parallel(4, 4),  // fine tiles: heavy cross-tile traffic
@@ -417,6 +417,28 @@ TEST(KernelTelemetry, WindowAccountingIsConsistent) {
             stats.mean_window_width_us());
   EXPECT_GE(stats.serial_fraction(), 0.0);
   EXPECT_LE(stats.serial_fraction(), 1.0);
+  EXPECT_LE(stats.windows_inline + stats.pool_phases, stats.windows)
+      << "a window's tile phase runs inline, on the pool, or not at all";
+  // The master runs its own tile share before it waits at the join, and
+  // one-tile windows run inline with no join at all, so the wait is a
+  // strict part of the tile phase.
+  EXPECT_GT(stats.windows_inline, 0u)
+      << "a tank crossing a two-tile field has one-tile windows";
+  EXPECT_LT(stats.barrier_wait_ns, stats.tile_phase_ns);
+}
+
+TEST(KernelTelemetry, FineTilesStillRunOnThePool) {
+  // Inline one-tile windows must not quietly become the only path: the
+  // fine-tile equivalence world keeps handing phases to the workers.
+  scenario::TankScenarioParams params;
+  params.seed = 42;
+  params.kernel = parallel(4, 4);
+  scenario::TankScenario scenario(params);
+  scenario.run();
+  const sim::ParallelKernelStats& stats =
+      scenario.system().kernel()->stats();
+  EXPECT_GT(stats.pool_phases, 0u);
+  EXPECT_LE(stats.windows_inline + stats.pool_phases, stats.windows);
 }
 
 TEST(KernelTelemetry, WideWindowsNeedFewerBarriers) {
