@@ -173,7 +173,6 @@ BENCHMARK(BM_DenseBroadcast)
 void BM_ScalingTank(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
-  const bool wide = state.range(2) != 0;
   constexpr double kSimSeconds = 2.0;
   std::size_t rows = 1, cols = n;
   for (auto r = static_cast<std::size_t>(std::sqrt(static_cast<double>(n)));
@@ -195,7 +194,6 @@ void BM_ScalingTank(benchmark::State& state) {
     // sample sparsely so the kernel, not the instrumentation, is measured.
     params.coherence_sample_period = Duration::seconds(1);
     params.kernel.canonical_order = true;
-    params.kernel.wide_windows = wide;
     if (threads > 0) {
       params.kernel.use_parallel_kernel = true;
       params.kernel.threads = threads;
@@ -233,11 +231,8 @@ void BM_ScalingTank(benchmark::State& state) {
       kSimSeconds * state.iterations(), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ScalingTank)
-    ->ArgsProduct({{10000, 50000, 100000}, {0, 1, 2, 4, 8}, {1}})
-    // One narrow-window row: the global-min-airtime baseline the wide
-    // planner's window count is compared against.
-    ->Args({50000, 2, 0})
-    ->ArgNames({"n", "threads", "wide"})
+    ->ArgsProduct({{10000, 50000, 100000}, {0, 1, 2, 4, 8}})
+    ->ArgNames({"n", "threads"})
     ->UseRealTime()
     ->Unit(benchmark::kSecond)
     ->Iterations(1);

@@ -76,7 +76,8 @@ ReproArtifact generate_artifact(std::uint64_t seed,
                                     : 1.0;
   s.ge_loss = scenario_rng.chance(config.p_ge_loss);
   s.reliable_transport = scenario_rng.chance(config.p_reliable_transport);
-  s.wide_windows = scenario_rng.chance(config.p_wide_windows);
+  // Discarded draw (the former window-mode coin) keeps every seed's scenario.
+  (void)scenario_rng.next_double();
   s.harass = scenario_rng.chance(config.p_harass);
   if (s.harass) {
     s.harass_period = sample_duration(scenario_rng, 2.0, 5.0);

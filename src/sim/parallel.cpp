@@ -168,7 +168,7 @@ std::vector<Simulator*> ParallelKernel::all_sims() {
 void ParallelKernel::finalize(WindowPlan plan) {
   assert(plan.min_airtime.is_positive() &&
          "lookahead must come from the medium");
-  assert(!plan.wide || plan.rx_handoff >= plan.min_airtime);
+  assert(plan.rx_handoff >= plan.min_airtime);
   plan_ = std::move(plan);
   plan_valid_ = true;
   hop_cycle_ = plan_.tx_handoff + plan_.min_airtime + plan_.rx_handoff;
@@ -334,13 +334,6 @@ void ParallelKernel::replay_outboxes() {
 Time ParallelKernel::plan_tile_ends(Time deadline) {
   const std::size_t n = tiles_.size();
   const Time hard_cap = deadline + Duration::micros(1);
-  if (!plan_.wide) {
-    // Narrow mode: the original global-min-airtime window for everyone.
-    const Time end = std::min(floor_ + plan_.min_airtime, hard_cap);
-    for (std::size_t j = 0; j < n; ++j) tile_ends_[j] = end;
-    return end;
-  }
-
   Time cap = floor_ + plan_.window_cap;
   if (cap > hard_cap) cap = hard_cap;
   for (std::size_t j = 0; j < n; ++j) tile_ends_[j] = cap;
@@ -395,8 +388,8 @@ Time ParallelKernel::plan_tile_ends(Time deadline) {
     }
   }
 
-  // Safety floor: the fixed-lookahead window is always admissible, so the
-  // planner never does worse than the narrow kernel.
+  // Safety floor: no reception lands earlier than one airtime after the
+  // floor, so `floor + δ` is always admissible whatever the constraints.
   const Time safety = floor_ + plan_.min_airtime;
   Time e_min = hard_cap;
   for (std::size_t j = 0; j < n; ++j) {

@@ -286,17 +286,19 @@ bool Simulator::watchdog_charge() {
   return true;
 }
 
-std::size_t Simulator::run_until(Time deadline) {
+template <typename Stop>
+std::size_t Simulator::run_loop(Stop stop) {
   EngineScope scope(this);
   std::size_t fired = 0;
   const bool guarded = watchdog_config_.enabled;
-  while (!queue_.empty() && queue_.next_time() <= deadline) {
+  const bool canonical = canonical_;
+  while (!queue_.empty() && !stop()) {
     if (guarded && watchdog_.tripped) break;
     auto ev = queue_.pop();
     assert(ev.time >= now_);
     now_ = ev.time;
     if (guarded && !watchdog_charge()) break;
-    if (canonical_) {
+    if (canonical) {
       bound_ = ev.key();
       bound_valid_ = true;
       executing_owner_ = ev.fire_owner;
@@ -305,57 +307,27 @@ std::size_t Simulator::run_until(Time deadline) {
     ++fired;
     ++events_fired_;
   }
+  if (canonical) executing_owner_ = kWorldRank;
+  return fired;
+}
+
+std::size_t Simulator::run_until(Time deadline) {
+  const std::size_t fired =
+      run_loop([&] { return queue_.next_time() > deadline; });
   // A tripped watchdog still advances the clock: drivers that loop on
   // run_for() must keep making (virtual-time) progress so the run winds
   // down instead of spinning on a frozen queue.
   if (now_ < deadline) now_ = deadline;
-  if (canonical_) executing_owner_ = kWorldRank;
   return fired;
 }
 
 std::size_t Simulator::run_until_key(EventKey bound) {
   assert(canonical_);
-  EngineScope scope(this);
-  std::size_t fired = 0;
-  const bool guarded = watchdog_config_.enabled;
-  while (!queue_.empty() && queue_.next_key() <= bound) {
-    if (guarded && watchdog_.tripped) break;
-    auto ev = queue_.pop();
-    assert(ev.time >= now_);
-    now_ = ev.time;
-    if (guarded && !watchdog_charge()) break;
-    bound_ = ev.key();
-    bound_valid_ = true;
-    executing_owner_ = ev.fire_owner;
-    ev.fn();
-    ++fired;
-    ++events_fired_;
-  }
-  executing_owner_ = kWorldRank;
-  return fired;
+  return run_loop([&] { return queue_.next_key() > bound; });
 }
 
 std::size_t Simulator::run_all() {
-  EngineScope scope(this);
-  std::size_t fired = 0;
-  const bool guarded = watchdog_config_.enabled;
-  while (!queue_.empty()) {
-    if (guarded && watchdog_.tripped) break;
-    auto ev = queue_.pop();
-    assert(ev.time >= now_);
-    now_ = ev.time;
-    if (guarded && !watchdog_charge()) break;
-    if (canonical_) {
-      bound_ = ev.key();
-      bound_valid_ = true;
-      executing_owner_ = ev.fire_owner;
-    }
-    ev.fn();
-    ++fired;
-    ++events_fired_;
-  }
-  if (canonical_) executing_owner_ = kWorldRank;
-  return fired;
+  return run_loop([] { return false; });
 }
 
 void Simulator::finish_run(Time deadline) {

@@ -194,8 +194,8 @@ class Simulator {
   void post_op(Callback fn);
 
   /// post_op() for radio-entry side effects: the op is keyed `entry_delay`
-  /// after the ambient now (the MAC-handoff latency of wide-window
-  /// canonical mode) and marked `is_send`, so the parallel kernel's window
+  /// after the ambient now (the MAC-handoff latency of canonical mode)
+  /// and marked `is_send`, so the parallel kernel's window
   /// planner can treat it as a pending-transmission constraint source. In
   /// legacy mode it runs inline like post_op().
   void post_radio_op(Duration entry_delay, Callback fn);
@@ -282,8 +282,11 @@ class Simulator {
   EventKey make_key(Time at, std::uint32_t owner);
   EventHandle schedule_canonical(std::uint32_t owner, Time at, Callback fn);
   void post_op_impl(Duration delay, bool is_send, Callback fn);
-  std::size_t run_loop(Time deadline, bool use_key_bound, EventKey bound,
-                       bool drain);
+  /// The one event loop behind run_until, run_until_key and run_all: pops,
+  /// charges the watchdog, stamps the canonical bound and fires events
+  /// until the queue drains or `stop()` (checked before each pop) holds.
+  template <typename Stop>
+  std::size_t run_loop(Stop stop);
 
   Time now_ = Time::origin();
   EventQueue queue_;

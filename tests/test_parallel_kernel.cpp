@@ -26,39 +26,6 @@ namespace {
 
 using scenario::TankRunResult;
 
-sim::KernelConfig serial_oracle() {
-  sim::KernelConfig k;
-  k.canonical_order = true;
-  return k;
-}
-
-sim::KernelConfig parallel(int threads, int tiles_per_thread = 1) {
-  sim::KernelConfig k;
-  k.use_parallel_kernel = true;
-  k.threads = threads;
-  k.tiles_per_thread = tiles_per_thread;
-  return k;
-}
-
-/// The (threads, tiles-per-thread) grid every equivalence test sweeps.
-const std::vector<sim::KernelConfig>& parallel_grid() {
-  static const std::vector<sim::KernelConfig> grid = {
-      parallel(1, 1),  // master alone, no pool: exercises windowing alone
-      parallel(2, 1),
-      parallel(4, 1),
-      parallel(4, 4),  // fine tiles: heavy cross-tile traffic
-  };
-  return grid;
-}
-
-std::string describe(const sim::KernelConfig& k) {
-  if (!k.use_parallel_kernel) return "serial-canonical";
-  std::ostringstream os;
-  os << "parallel(threads=" << k.threads
-     << ", tiles_per_thread=" << k.tiles_per_thread << ")";
-  return os.str();
-}
-
 void append_medium(std::ostringstream& os, const radio::MediumStats& m) {
   os << "medium bits=" << m.bits_sent << " airtime=" << m.airtime.to_micros();
   const radio::TypeStats t = m.totals();
@@ -303,27 +270,8 @@ TEST(ParallelKernel, CanonicalSerialStillTracks) {
       << " tracked=" << result.tracking.tracked_fraction();
 }
 
-sim::KernelConfig narrow(sim::KernelConfig k) {
-  k.wide_windows = false;
-  return k;
-}
-
 /// Wide-window suite: the adaptive per-tile planner (tile-pair lookahead
-/// matrix + pending-send/channel constraints) against the serial oracle,
-/// and the legacy fixed-lookahead mode it must keep reproducing.
-TEST(WideWindow, NarrowModeStillBitExact) {
-  // wide_windows off reverts to the original global-min-airtime windows;
-  // serial and parallel must still agree byte for byte there (this is the
-  // PR 7 baseline configuration).
-  scenario::TankScenarioParams params;
-  params.seed = 42;
-  const std::string oracle = run_tank(params, narrow(serial_oracle()));
-  for (const sim::KernelConfig& k : parallel_grid()) {
-    EXPECT_EQ(run_tank(params, narrow(k)), oracle)
-        << describe(k) << " narrow";
-  }
-}
-
+/// matrix + pending-send/channel constraints) against the serial oracle.
 TEST(WideWindow, ChaosLookaheadAdmitsNoLateReceptions) {
   // The windowing proof, stated as a runtime property: once a tile's
   // window bound is published, no cross-tile effect (reception handoff,
@@ -442,22 +390,17 @@ TEST(KernelTelemetry, FineTilesStillRunOnThePool) {
 }
 
 TEST(KernelTelemetry, WideWindowsNeedFewerBarriers) {
-  // The point of the adaptive planner: same workload, same seed, strictly
-  // fewer (and wider) barrier windows than the global-min-airtime
-  // baseline.
-  auto stats_for = [](bool wide) {
-    scenario::TankScenarioParams params;
-    params.seed = 42;
-    params.kernel = parallel(2, 1);
-    params.kernel.wide_windows = wide;
-    scenario::TankScenario scenario(params);
-    scenario.run();
-    return scenario.system().kernel()->stats();
-  };
-  const sim::ParallelKernelStats wide = stats_for(true);
-  const sim::ParallelKernelStats narrow = stats_for(false);
-  EXPECT_LT(wide.windows, narrow.windows);
-  EXPECT_GT(wide.mean_window_width_us(), narrow.mean_window_width_us());
+  // The point of the adaptive planner: windows cut at the `δ` safety floor
+  // alone could never be wider than one minimum airtime, so a mean width of
+  // several airtimes means several times fewer barriers for the same run.
+  scenario::TankScenarioParams params;
+  params.seed = 42;
+  params.kernel = parallel(2, 1);
+  scenario::TankScenario scenario(params);
+  scenario.run();
+  const auto airtime_us = scenario.system().medium().min_airtime().to_micros();
+  EXPECT_GT(scenario.system().kernel()->stats().mean_window_width_us(),
+            3.0 * static_cast<double>(airtime_us));
 }
 
 TEST(ParallelKernel, LookaheadDerivedFromRadioConstants) {

@@ -21,38 +21,6 @@
 namespace et::test {
 namespace {
 
-sim::KernelConfig serial_oracle() {
-  sim::KernelConfig k;
-  k.canonical_order = true;
-  return k;
-}
-
-sim::KernelConfig parallel(int threads, int tiles_per_thread = 1) {
-  sim::KernelConfig k;
-  k.use_parallel_kernel = true;
-  k.threads = threads;
-  k.tiles_per_thread = tiles_per_thread;
-  return k;
-}
-
-const std::vector<sim::KernelConfig>& parallel_grid() {
-  static const std::vector<sim::KernelConfig> grid = {
-      parallel(1, 1),
-      parallel(2, 1),
-      parallel(4, 1),
-      parallel(4, 4),
-  };
-  return grid;
-}
-
-std::string describe(const sim::KernelConfig& k) {
-  if (!k.use_parallel_kernel) return "serial-canonical";
-  std::ostringstream os;
-  os << "parallel(threads=" << k.threads
-     << ", tiles_per_thread=" << k.tiles_per_thread << ")";
-  return os.str();
-}
-
 void append_snapshot(std::ostringstream& os,
                      const serve::TrackSnapshot& s) {
   // Hexfloat: byte-identical means bit-identical positions, not

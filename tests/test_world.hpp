@@ -2,6 +2,8 @@
 
 #include <functional>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/system.hpp"
@@ -177,5 +179,41 @@ class TestWorld {
   metrics::EventLog events_;
   core::TypeIndex blob_type_ = 0;
 };
+
+/// Kernel selections for the serial-vs-parallel equivalence suites: the
+/// serial canonical engine is the bit-exactness oracle for every entry of
+/// parallel_grid().
+inline sim::KernelConfig serial_oracle() {
+  sim::KernelConfig k;
+  k.canonical_order = true;
+  return k;
+}
+
+inline sim::KernelConfig parallel(int threads, int tiles_per_thread = 1) {
+  sim::KernelConfig k;
+  k.use_parallel_kernel = true;
+  k.threads = threads;
+  k.tiles_per_thread = tiles_per_thread;
+  return k;
+}
+
+/// The (threads, tiles-per-thread) grid every equivalence test sweeps.
+inline const std::vector<sim::KernelConfig>& parallel_grid() {
+  static const std::vector<sim::KernelConfig> grid = {
+      parallel(1, 1),  // master alone, no pool: exercises windowing alone
+      parallel(2, 1),
+      parallel(4, 1),
+      parallel(4, 4),  // fine tiles: heavy cross-tile traffic
+  };
+  return grid;
+}
+
+inline std::string describe(const sim::KernelConfig& k) {
+  if (!k.use_parallel_kernel) return "serial-canonical";
+  std::ostringstream os;
+  os << "parallel(threads=" << k.threads
+     << ", tiles_per_thread=" << k.tiles_per_thread << ")";
+  return os.str();
+}
 
 }  // namespace et::test
